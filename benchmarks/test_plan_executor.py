@@ -109,43 +109,6 @@ def test_planned_engine_steady_counters(model):
     assert engine.plan.stats.runs == 11
 
 
-def test_span_and_coloring_counters(workload):
-    """Deterministic: the staged compiler partitioned the tape into spans
-    that tile it exactly, and the interference-coloring allocator beats the
-    FIFO shape-pool baseline it replaced (both measured on the warm arena)."""
-    _fetches, _feeds, plan, _system, _pl = workload
-    widths = plan.span_widths()
-    assert plan.stats.spans == len(widths) >= 1
-    assert sum(widths) == plan.n_records
-    assert plan.stats.max_span_width == max(widths) >= 2
-    assert plan.arena_nbytes() < plan.fifo_arena_nbytes()
-    assert plan.stats.span_batches == 0  # span_workers defaults to 1
-    RESULTS["arena_colored_B"] = plan.arena_nbytes()
-    RESULTS["arena_fifo_B"] = plan.fifo_arena_nbytes()
-    RESULTS["max_span_width"] = plan.stats.max_span_width
-
-
-def test_parallel_span_batches_deterministic(workload):
-    """Deterministic: with ``span_workers=2`` every steady run dispatches
-    exactly one batch per multi-record span, and results stay bitwise
-    identical to the sequential plan."""
-    fetches, feeds, plan, _system, _pl = workload
-    par = tf.compile_plan(
-        list(fetches), list(feeds), copy_fetches=False,
-        schedule="grouped", span_workers=2,
-    )
-    ref = plan.run(feeds)
-    out = par.run(feeds)  # warm
-    batches_warm = par.stats.span_batches
-    out = par.run(feeds)  # steady
-    multi = sum(1 for w in par.span_widths() if w > 1)
-    assert multi >= 1
-    assert par.stats.span_batches == batches_warm + multi
-    for r, o in zip(ref, out):
-        assert np.array_equal(np.asarray(r), np.asarray(o))
-    par.release_arenas()
-
-
 def test_fig3_scale_copper_arena_reduction():
     """Fig 3 scale: the 256-atom copper cell with the paper's Cu
     hyper-parameters (r_c=7 Å, sel=220).  PR 3's FIFO recycler needed
@@ -158,10 +121,7 @@ def test_fig3_scale_copper_arena_reduction():
     )
     system = fcc_lattice((4, 4, 4))
     pi, pj = neighbor_pairs(system, model.config.rcut)
-    # numpy backend pinned: the FIFO figure is a property of the unfused
-    # tape (fusion removes the intermediates the FIFO recycler was paying
-    # for — that win is measured separately below).
-    engine = BatchedEvaluator(model, plan_backend="numpy")
+    engine = BatchedEvaluator(model)
     engine.evaluate_batch([system], [(pi, pj)])  # compile + warm
     colored = engine.plan.arena_nbytes()
     fifo = engine.plan.fifo_arena_nbytes()
@@ -173,125 +133,6 @@ def test_fig3_scale_copper_arena_reduction():
     RESULTS["fig3_colored_MB"] = colored / 1e6
     RESULTS["fig3_fifo_MB"] = fifo / 1e6
     engine.plan.release_arenas()
-
-
-def test_fig3_scale_copper_fused_arena_shrinks_further():
-    """Deterministic: at fig3 scale, fused intermediates contribute ZERO
-    bytes to the colored arena.  The *training* plan's backward section is
-    pure elementwise (tanh_grad/mul/add chains at per-pair width), so its
-    fused colored arena lands strictly below the unfused colored footprint
-    of the same tape (PR 9's allocator on PR 9's records, simulated from
-    the warm run's shapes).  The *evaluate* plan's peak live set is
-    matmul/gemm/tanh_fused tuples — the graph-level passes already fused
-    its tanh chains — so there fusion must simply never regress."""
-    from repro.analysis.structures import fcc_lattice
-    from repro.dp.data import label_frames
-    from repro.dp.train import TrainConfig, Trainer
-    from repro.oracles import SuttonChenEAM
-
-    cfg = DPConfig(type_names=("Cu",), rcut=7.0, rcut_smth=2.0, sel=(220,))
-    system = fcc_lattice((4, 4, 4))
-
-    # Training plan: the strict win.
-    model = DeepPot(cfg, rng=np.random.default_rng(1))
-    dataset = label_frames([system], SuttonChenEAM(r_on=4.0, cutoff=5.0))
-    dataset.apply_stats(model)
-    trainer = Trainer(
-        model, dataset, TrainConfig(n_steps=2, log_every=10),
-        plan_backend="fused",
-    )
-    trainer.step()  # warm the arena
-    trainer.step()  # steady: blocked interpreter builds its tile plans
-    plan = trainer.plan
-    assert plan.records_fused() > 0
-    colored = plan.arena_nbytes()
-    prefusion = plan.prefusion_arena_nbytes()
-    assert colored < prefusion  # intermediates really left the arena
-    # PR 9's colored figure for this tape is ~986 MB; fusion lands ~895 MB.
-    assert prefusion > 950e6
-    assert colored < 950e6
-    # The intermediates now live in per-group tile scratch — megabytes,
-    # not the hundreds of MB the arena used to carry them in.
-    assert 0 < plan.fused_scratch_nbytes() < 64e6
-    RESULTS["fig3_train_fused_colored_MB"] = colored / 1e6
-    RESULTS["fig3_train_prefusion_MB"] = prefusion / 1e6
-    RESULTS["fig3_train_records_fused"] = plan.records_fused()
-    plan.release_arenas()
-
-    # Evaluate plan: matmul-bound peak, no-regress bar.
-    engine = BatchedEvaluator(DeepPot(cfg), plan_backend="fused")
-    pi, pj = neighbor_pairs(system, cfg.rcut)
-    engine.evaluate_batch([system], [(pi, pj)])  # compile + warm
-    eplan = engine.plan
-    assert eplan.records_fused() > 0
-    assert eplan.arena_nbytes() <= eplan.prefusion_arena_nbytes()
-    RESULTS["fig3_eval_fused_colored_MB"] = eplan.arena_nbytes() / 1e6
-    engine.plan.release_arenas()
-
-
-@pytest.fixture(scope="module")
-def fitting_chain():
-    """A fitting-net-style tanh chain at fig3 scale: the pure elementwise
-    regime where fusion's cache-tiled interpreter earns its keep.  Rows =
-    256 atoms x 220 neighbors (the copper fig3 cell), 240-wide fitting
-    layer, fp64 — each unfused intermediate is a ~108 MB DRAM round-trip."""
-    rng = np.random.default_rng(12)
-    x = tf.placeholder("x", dtype=np.float64)
-    h = tf.tanh(x)
-    h = tf.add(h, tf.square(h))
-    h = tf.tanh(h)
-    h = tf.mul(h, tf.neg(h))
-    y = tf.sub(h, tf.square(h))
-    feeds = {x: rng.standard_normal((256 * 220, 240))}
-    plans = {}
-    for backend in ("numpy", "fused"):
-        plan = tf.compile_plan([y], [x], copy_fetches=False, backend=backend)
-        plan.run(feeds)  # warm
-        plans[backend] = plan
-    return plans, feeds
-
-
-def test_fitting_chain_fused_bitwise_and_counters(fitting_chain):
-    """Deterministic: fused == numpy bitwise on the fig3-scale chain, the
-    whole chain collapsed to one record, and the blocked interpreter's
-    tile count is exactly min(rows, ceil(out_nbytes / tile_bytes))."""
-    plans, feeds = fitting_chain
-    a = plans["numpy"].run(feeds)
-    b = plans["fused"].run(feeds)
-    assert np.array_equal(np.asarray(a), np.asarray(b))
-    fused = plans["fused"]
-    assert fused.records_fused() > 0
-    (group,) = fused.fused_groups
-    rows, out_nbytes = 256 * 220, 256 * 220 * 240 * 8
-    expect = min(rows, -(-out_nbytes // group.tile_bytes))
-    tiles_before = group.tiles_run
-    fused.run(feeds)
-    assert group.tiles_run == tiles_before + expect
-
-
-def test_fitting_chain_fused_vs_numpy_timing(benchmark, fitting_chain):
-    """Wall clock: the cache-tiled fused chain beats one-kernel-per-record
-    numpy on the fig3-scale elementwise chain (paired interleaved trials,
-    REPRO_BENCH_STRICT-gated per the bench policy)."""
-    plans, feeds = fitting_chain
-    t_fused = bench_median(
-        benchmark, lambda: plans["fused"].run(feeds), rounds=5)
-    RESULTS["t_fitting_fused_ms"] = t_fused * 1e3
-    reps = 3
-
-    def run_fused():
-        for _ in range(reps):
-            plans["fused"].run(feeds)
-
-    def run_numpy():
-        for _ in range(reps):
-            plans["numpy"].run(feeds)
-
-    ratios = bench_paired_trials(run_fused, run_numpy, trials=7)
-    RESULTS["fitting_ratio_median"] = float(np.median(ratios))
-    RESULTS["fitting_ratio_best"] = float(np.min(ratios))
-    if bench_strict():
-        assert RESULTS["fitting_ratio_median"] < 0.90
 
 
 def test_bitwise_oracle_correspondence(workload):
@@ -341,13 +182,9 @@ def test_zz_report(benchmark, workload, model):
           f"({plan.arena_nbytes() / 1e6:.1f} MB, interference-colored)")
     print(f"topo_sorts (lifetime):   {plan.stats.topo_sorts} over "
           f"{plan.stats.runs} runs")
-    print(f"spans:                   {plan.stats.spans} "
-          f"(max width {plan.stats.max_span_width})")
-    if "arena_fifo_B" in RESULTS:
-        saved = RESULTS["arena_fifo_B"] - RESULTS["arena_colored_B"]
-        print(f"coloring vs FIFO:        {RESULTS['arena_colored_B'] / 1e3:.1f} kB "
-              f"vs {RESULTS['arena_fifo_B'] / 1e3:.1f} kB "
-              f"(-{100 * saved / RESULTS['arena_fifo_B']:.1f}%)")
+    colored, fifo = plan.arena_nbytes(), plan.fifo_arena_nbytes()
+    print(f"coloring vs FIFO:        {colored / 1e3:.1f} kB "
+          f"vs {fifo / 1e3:.1f} kB (-{100 * (fifo - colored) / fifo:.1f}%)")
     if "fig3_colored_MB" in RESULTS:
         red = 1 - RESULTS["fig3_colored_MB"] / RESULTS["fig3_fifo_MB"]
         print(f"fig3-scale copper arena: {RESULTS['fig3_colored_MB']:.1f} MB "
@@ -358,32 +195,5 @@ def test_zz_report(benchmark, workload, model):
         print(f"plan/Session ratio:      {RESULTS['ratio_median']:.2f}x median / "
               f"{RESULTS['ratio_best']:.2f}x best "
               f"({1 / RESULTS['ratio_median']:.2f}x speedup)")
-    if "fig3_train_fused_colored_MB" in RESULTS:
-        print(f"fig3 train fused arena:  "
-              f"{RESULTS['fig3_train_fused_colored_MB']:.1f} MB colored vs "
-              f"{RESULTS['fig3_train_prefusion_MB']:.1f} MB unfused-colored "
-              f"({RESULTS['fig3_train_records_fused']} records fused)")
-    if "fitting_ratio_median" in RESULTS:
-        print(f"fitting-chain fused/numpy ratio: "
-              f"{RESULTS['fitting_ratio_median']:.2f}x median / "
-              f"{RESULTS['fitting_ratio_best']:.2f}x best "
-              f"({1 / RESULTS['fitting_ratio_median']:.2f}x speedup)")
     print("(one graph traversal per plan lifetime; steady-state runs are a")
     print(" flat slot-indexed tape walk into persistent recycled buffers)")
-
-    # The perf-trajectory data point for this PR: paired fused-vs-unfused
-    # medians plus the fig3-scale arena figures (repo-root BENCH_10.json).
-    import json
-    from pathlib import Path
-
-    bench_keys = (
-        "fitting_ratio_median", "fitting_ratio_best", "t_fitting_fused_ms",
-        "fig3_train_fused_colored_MB", "fig3_train_prefusion_MB",
-        "fig3_train_records_fused", "fig3_eval_fused_colored_MB",
-        "fig3_colored_MB", "fig3_fifo_MB", "ratio_median",
-    )
-    payload = {k: RESULTS[k] for k in bench_keys if k in RESULTS}
-    if payload:
-        out = Path(__file__).resolve().parent.parent / "BENCH_10.json"
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"fusion bench figures written to {out.name}")

@@ -28,13 +28,11 @@ lint        — concurrency/invariant linter over the source tree
               (repro.analysis.lint; rules L101-L111)
 check-plans — compile every zoo model's evaluate/train/serving plans and
               run the static plan verifier (repro.analysis.plancheck;
-              rules P101-P110); ``--report FILE`` also writes the
-              per-plan metrics JSON, ``--backend`` selects the kernel
-              backend (numpy / fused)
+              rules P101-P108); ``--report FILE`` also writes the
+              per-plan metrics JSON
 plan-report — per-plan compiler metrics across the zoo matrix: record
-              count, schedule, span widths, arena bytes before/after
-              interference coloring, and fusion counters under
-              ``--backend fused`` (JSON to stdout or ``--out FILE``)
+              count and arena bytes before/after interference coloring
+              (JSON to stdout or ``--out FILE``)
 """
 
 from __future__ import annotations
@@ -77,11 +75,6 @@ def cmd_info(_args) -> int:
     if cov["missing"]:
         line += "\n  missing: " + ", ".join(cov["missing"])
     print(line)
-
-    from repro.tfmini.backends import available_backends
-
-    print("plan backends: " + ", ".join(available_backends())
-          + "  (REPRO_PLAN_BACKEND or --plan-backend / --backend)")
     print(f"\nmodel zoo cache: {DEFAULT_CACHE}")
     if DEFAULT_CACHE.exists():
         for p in sorted(DEFAULT_CACHE.glob("*.npz")):
@@ -252,7 +245,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         max_per_client=args.max_per_client,
         cache_size=args.cache,
-        plan_backend=args.plan_backend,
     )
     if args.tiny:
         server = InferenceServer({"water-tiny": _bench_tiny_model()}, **common)
@@ -375,7 +367,6 @@ def _serve_bench_socket(args) -> int:
             max_queue=args.max_queue,
             workers=args.workers,
             cache_size=args.cache,
-            plan_backend=args.plan_backend,
         )
         daemon = ServingDaemon(server).start()
         address = daemon.address
@@ -522,7 +513,6 @@ def cmd_serve_bench(args) -> int:
             max_wait_us=args.max_wait_us,
             max_queue=args.max_queue,
             workers=workers,
-            plan_backend=args.plan_backend,
         )
     else:
         name = args.model
@@ -532,7 +522,6 @@ def cmd_serve_bench(args) -> int:
             max_wait_us=args.max_wait_us,
             max_queue=args.max_queue,
             workers=workers,
-            plan_backend=args.plan_backend,
         )
         model = server.model(name)
         base = (
@@ -898,8 +887,7 @@ def cmd_check_plans(args) -> int:
 
     from repro.analysis.plancheck import check_all_plans
 
-    results = check_all_plans(report=bool(args.report),
-                              plan_backend=args.backend)
+    results = check_all_plans(report=bool(args.report))
     bad = [e for e in results if not e["report"].ok]
     if args.report:
         with open(args.report, "w") as fh:
@@ -939,7 +927,7 @@ def cmd_plan_report(args) -> int:
 
     from repro.analysis.plancheck import check_all_plans
 
-    results = check_all_plans(report=True, plan_backend=args.backend)
+    results = check_all_plans(report=True)
     entries = _plan_report_entries(results)
     payload = _json.dumps(entries, indent=2)
     if args.out:
@@ -953,21 +941,11 @@ def cmd_plan_report(args) -> int:
     for e in entries:
         saved = e["arena_bytes_saved"]
         pct = 100.0 * saved / e["arena_nbytes_fifo"] if e["arena_nbytes_fifo"] else 0.0
-        line = (
+        print(
             f"  {e['plan']:<26} {e['records']:>4} records  "
-            f"schedule={e['schedule']:<8} spans={e['spans']:>4} "
-            f"maxw={e['max_span_width']:>2}  "
             f"arena {e['arena_nbytes_colored']:>10} B "
             f"(fifo {e['arena_nbytes_fifo']:>10} B, -{pct:.1f}%)"
         )
-        if e.get("records_fused"):
-            line += (
-                f"  fused {e['records_fused']:>3} records/"
-                f"{e['fused_chains']} chains "
-                f"(-{e['fused_passes_saved']} passes, "
-                f"arena -{e['arena_fusion_saved']} B)"
-            )
-        print(line)
     return 1 if any(not e["ok"] for e in entries) else 0
 
 
@@ -1005,10 +983,6 @@ def main(argv=None) -> int:
     daemon.add_argument("--idle-timeout", type=float, default=0.0,
                         help="sweep client connections idle longer than "
                              "this many seconds (0 = never)")
-    daemon.add_argument("--plan-backend", default=None,
-                        help="kernel backend for every engine's compiled "
-                             "plan (numpy/fused; default: "
-                             "REPRO_PLAN_BACKEND, then numpy)")
     serve = sub.add_parser(
         "serve-bench",
         help="closed-loop load generator for the inference service",
@@ -1040,9 +1014,6 @@ def main(argv=None) -> int:
     serve.add_argument("--connect-retry", type=float, default=10.0,
                        help="seconds to retry the initial connect while the "
                             "daemon is still binding (0 = one attempt)")
-    serve.add_argument("--plan-backend", default=None,
-                       help="kernel backend for the local server's engines "
-                            "(numpy/fused; ignored with --connect)")
     md = sub.add_parser(
         "md",
         help="deterministic tiny MD run with exact-restart checkpointing",
@@ -1095,35 +1066,23 @@ def main(argv=None) -> int:
     checkp = sub.add_parser(
         "check-plans",
         help="statically verify every zoo model's compiled plans "
-             "(rules P101-P110)",
+             "(rules P101-P108)",
     )
     checkp.add_argument("--json", action="store_true", help="JSON report")
     checkp.add_argument(
         "--report", metavar="FILE", default=None,
-        help="also write per-plan compiler metrics (records, schedule, "
-             "span widths, colored-vs-FIFO arena bytes, fusion counters) "
-             "as JSON to FILE",
-    )
-    checkp.add_argument(
-        "--backend", default=None,
-        help="kernel backend for every compiled plan (numpy/fused; "
-             "default: REPRO_PLAN_BACKEND, then numpy)",
+        help="also write per-plan compiler metrics (records, "
+             "colored-vs-FIFO arena bytes) as JSON to FILE",
     )
     planrep = sub.add_parser(
         "plan-report",
         help="per-plan compiler metrics across the zoo matrix "
-             "(schedule, span widths, arena bytes before/after coloring, "
-             "fusion counters)",
+             "(records, arena bytes before/after coloring)",
     )
     planrep.add_argument(
         "--out", metavar="FILE", default=None,
         help="write the JSON report to FILE (and print a summary table) "
              "instead of dumping JSON to stdout",
-    )
-    planrep.add_argument(
-        "--backend", default=None,
-        help="kernel backend for every compiled plan (numpy/fused; "
-             "default: REPRO_PLAN_BACKEND, then numpy)",
     )
     args = parser.parse_args(argv)
     return {

@@ -72,9 +72,6 @@ class Trainer:
         dataset: Dataset,
         config: Optional[TrainConfig] = None,
         use_plan: bool = True,
-        plan_schedule: str = "liveness",
-        plan_span_workers: int = 1,
-        plan_backend: Optional[str] = None,
     ):
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
@@ -82,12 +79,6 @@ class Trainer:
         self.dataset = dataset
         self.config = config or TrainConfig()
         self.use_plan = use_plan
-        # Plan-compiler knobs (tape schedule, span thread count, kernel
-        # backend), forwarded to ``compile_plan``; every schedule/span
-        # combination and the bitwise backends are bitwise identical.
-        self.plan_schedule = plan_schedule
-        self.plan_span_workers = plan_span_workers
-        self.plan_backend = plan_backend
         self._plan = None  # compiled lazily: one topo_sort per trainer
         self._rng = np.random.default_rng(self.config.seed)
 
@@ -159,9 +150,6 @@ class Trainer:
                 self._fetches,
                 self._feed_nodes,
                 copy_fetches=False,
-                schedule=self.plan_schedule,
-                span_workers=self.plan_span_workers,
-                backend=self.plan_backend,
             )
         return self._plan
 

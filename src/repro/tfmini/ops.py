@@ -95,9 +95,6 @@ OUT_KERNEL_EXEMPT = {
     "reshape", "reshape_like", "item", "reduce_to_shape",
     # structural: never executed as tape records
     "constant", "placeholder", "variable",
-    # synthesized by the plan compiler's fusion pass; its kernels are bound
-    # per-group (repro.tfmini.fusion), not registered here
-    "fused_elementwise",
 }
 
 
@@ -1011,28 +1008,8 @@ register_op(
 # ---------------------------------------------------------------------------
 
 # Category assignment mirrors Fig 3's legend: GEMM, TANH, SLICE, CUSTOM, Others.
-# The plan compiler's elementwise-fusion pass (repro.tfmini.fusion)
-# synthesizes "fused_elementwise" records; the registry entry exists so
-# profiled plan runs can attribute FLOPs/category, but its forward/
-# forward_out are bound per fused group, never looked up here.
-def _fused_elementwise_unbound(inputs, attrs):  # pragma: no cover
-    raise RuntimeError(
-        "fused_elementwise executes only through a compiled plan's fused "
-        "group kernels (repro.tfmini.fusion), never the registry forward"
-    )
-
-
-register_op(
-    "fused_elementwise",
-    _fused_elementwise_unbound,
-    flops=lambda node, ins, out: node.attrs.get("flops_per_elem", 1)
-    * (out.size if isinstance(out, np.ndarray) else 0),
-)
-
-
 OP_CATEGORY = {
     "matmul": "GEMM",
-    "fused_elementwise": "CUSTOM",
     "gemm": "GEMM",
     "bmm": "GEMM",
     "tanh": "TANH",

@@ -52,16 +52,14 @@ class TestCli:
         out_file = tmp_path / "plan-report.json"
         assert main(["plan-report", "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
-        assert "schedule" in out
+        assert "fifo" in out
         assert "water/double/evaluate" in out
         entries = json.loads(out_file.read_text())
         assert len(entries) == 10
         for e in entries:
             assert e["ok"]
+            assert e["records"] > 0
             assert e["arena_nbytes_colored"] < e["arena_nbytes_fifo"]
-            assert sum(int(k) * v
-                       for k, v in e["span_width_histogram"].items()) \
-                == e["records"]
 
     def test_check_plans_report_flag(self, tmp_path, capsys):
         out_file = tmp_path / "check.json"

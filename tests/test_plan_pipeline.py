@@ -1,35 +1,25 @@
-"""The staged plan compiler: scheduling, interference coloring, spans.
+"""The plan compiler: liveness scheduling and interference coloring.
 
-Covers the compiler-grade pipeline in :mod:`repro.tfmini.plan`:
+Covers the pipeline in :mod:`repro.tfmini.plan`:
 
-- the tape scheduler (``schedule="none"|"liveness"|"grouped"``) is
-  deterministic and dependency-correct;
+- the liveness list scheduler is deterministic and dependency-correct;
 - the interference-coloring allocator beats the FIFO shape-keyed baseline
   on every zoo plan (strictly — the counter-asserted acceptance bar) while
-  verifying clean under P101–P109;
-- parallel span execution (``span_workers``) is bitwise identical to the
-  sequential loop and to the ``Session.run`` oracle for every
-  schedule × worker combination, with deterministic span counters;
-- the fused kernel backend (``backend="fused"``) stays bitwise across the
-  same matrix and the whole zoo, with its fusion counters firing and P110
-  verifying clean (the fusion pass itself is tested in
-  ``tests/test_fusion.py``).
+  verifying clean under P101–P108;
+- the batched engine and the trainer stay bitwise identical to the
+  ``Session.run`` oracle.
 """
-
-import itertools
 
 import numpy as np
 import pytest
 
-from repro import tfmini as tf
 from repro.analysis.plancheck import check_all_plans, plan_metrics
-from repro.analysis.structures import water_box
+from repro.analysis.structures import fcc_lattice, water_box
 from repro.dp.batch import BatchedEvaluator
 from repro.dp.model import DeepPot
 from repro.md.neighbor import neighbor_pairs
-from repro.tfmini.ops import scale
-from repro.tfmini.plan import SCHEDULES, compile_plan
-from repro.zoo import water_config
+from repro.tfmini.plan import compile_plan
+from repro.zoo import copper_config, water_config
 
 
 @pytest.fixture(scope="module")
@@ -48,185 +38,34 @@ def water_oracle(water):
     return res
 
 
-def fan_plan(k=8, schedule="liveness", span_workers=1):
-    """K independent tanh branches of one feed — one span of width K.
-
-    numpy backend pinned: the span-structure assertions below count the
-    unfused records (fusion would collapse each tanh+scale branch).
-    """
-    x = tf.placeholder("x", dtype=np.float64)
-    branches = [scale(tf.tanh(x), 1.0 + i) for i in range(k)]
-    plan = compile_plan(
-        branches, [x], schedule=schedule, span_workers=span_workers,
-        backend="numpy",
-    )
-    return plan, x
-
-
 class TestScheduler:
-    def test_rejects_unknown_schedule(self):
-        x = tf.placeholder("x", dtype=np.float64)
-        with pytest.raises(ValueError):
-            compile_plan([tf.tanh(x)], [x], schedule="alphabetical")
-
-    def test_none_keeps_topological_order(self, water):
-        model, _system, _pairs = water
-        feeds = (list(model.ph_env)
-                 + [model.ph_em_deriv, model.ph_rij, model.ph_nlist,
-                    model.ph_atom_idx, model.ph_natoms])
-        fetches = [model._f_forces]
-        # numpy backend: fused records carry fresh synthetic nodes, so the
-        # id()-based identity below only holds per-record.
-        base = compile_plan(fetches, feeds, schedule="none", backend="numpy")
-        again = compile_plan(fetches, feeds, schedule="none", backend="numpy")
-        assert [id(r.node) for r in base._records] == \
-            [id(r.node) for r in again._records]
-
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_deterministic(self, water, schedule):
+    def test_deterministic(self, water):
         model, _system, _pairs = water
         feeds = (list(model.ph_env)
                  + [model.ph_em_deriv, model.ph_rij, model.ph_nlist,
                     model.ph_atom_idx, model.ph_natoms])
         fetches = [model._f_forces, model._f_net_deriv] + list(model._f_e_atoms)
-        p1 = compile_plan(fetches, feeds, schedule=schedule, backend="numpy")
-        p2 = compile_plan(fetches, feeds, schedule=schedule, backend="numpy")
+        p1 = compile_plan(fetches, feeds)
+        p2 = compile_plan(fetches, feeds)
         assert [id(r.node) for r in p1._records] == \
             [id(r.node) for r in p2._records]
-        assert p1.spans == p2.spans
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_dependencies_respected(self, water, schedule):
-        model, _system, _pairs = water
-        feeds = (list(model.ph_env)
-                 + [model.ph_em_deriv, model.ph_rij, model.ph_nlist,
-                    model.ph_atom_idx, model.ph_natoms])
-        plan = compile_plan([model._f_forces], feeds, schedule=schedule)
-        producer_pos = {r.out_slot: i for i, r in enumerate(plan._records)}
-        for i, rec in enumerate(plan._records):
-            for s in rec.input_slots:
-                if s in producer_pos:
-                    assert producer_pos[s] < i, (schedule, i, rec.op)
-
-    def test_grouped_groups_kernels(self, water):
-        """Grouped scheduling produces at least as many same-kernel
-        adjacencies as the raw topological order on the DP graph."""
-        model, _system, _pairs = water
-        feeds = (list(model.ph_env)
-                 + [model.ph_em_deriv, model.ph_rij, model.ph_nlist,
-                    model.ph_atom_idx, model.ph_natoms])
-        fetches = [model._f_forces]
-
-        def adjacencies(plan):
-            ops = [r.op for r in plan._records]
-            return sum(a == b for a, b in zip(ops, ops[1:]))
-
-        none = compile_plan(fetches, feeds, schedule="none", backend="numpy")
-        grouped = compile_plan(
-            fetches, feeds, schedule="grouped", backend="numpy")
-        assert adjacencies(grouped) >= adjacencies(none)
-
-
-class TestSpans:
-    def test_widths_tile_the_tape(self, water):
+    def test_dependencies_respected(self, water):
         model, _system, _pairs = water
         feeds = (list(model.ph_env)
                  + [model.ph_em_deriv, model.ph_rij, model.ph_nlist,
                     model.ph_atom_idx, model.ph_natoms])
         plan = compile_plan([model._f_forces], feeds)
-        widths = plan.span_widths()
-        assert sum(widths) == plan.n_records
-        assert len(widths) == plan.stats.spans
-        assert max(widths) == plan.stats.max_span_width
-        # The DP graph's per-type branches give the scheduler real
-        # parallelism — spans must compress the tape, not degenerate to
-        # one record each.
-        assert plan.stats.max_span_width >= 2
-        assert plan.stats.spans < plan.n_records
-
-    def test_fan_plan_grouped_gives_wide_spans(self):
-        # Under "grouped", the 8 independent tanh records batch first and
-        # the 8 scale records (each reading one tanh) follow — two
-        # width-8 spans.
-        plan, _x = fan_plan(k=8, schedule="grouped")
-        widths = plan.span_widths()
-        assert sum(widths) == plan.n_records == 16
-        assert widths == [8, 8]
-        assert plan.stats.max_span_width == 8
-
-    def test_span_batches_counter(self):
-        ref_plan, x = fan_plan(k=8, span_workers=1)
-        feeds = {x: np.linspace(-1.0, 1.0, 12).reshape(4, 3)}
-        ref = ref_plan.run(feeds)
-        assert ref_plan.stats.span_batches == 0
-
-        par_plan, x2 = fan_plan(k=8, span_workers=3)
-        feeds2 = {x2: np.linspace(-1.0, 1.0, 12).reshape(4, 3)}
-        out1 = par_plan.run(feeds2)
-        batches_after_warm = par_plan.stats.span_batches
-        out2 = par_plan.run(feeds2)
-        # Steady runs dispatch every multi-record span to the pool.
-        multi = sum(1 for w in par_plan.span_widths() if w > 1)
-        assert par_plan.stats.span_batches == batches_after_warm + multi
-        for a, b, c in zip(ref, out1, out2):
-            assert np.array_equal(a, b) and np.array_equal(b, c)
-
-    def test_span_min_bytes_inlines_tiny_spans(self):
-        """The per-span cost model: multi-record spans whose arena bytes
-        fall under ``span_min_bytes`` run inline instead of forking to the
-        pool — counted by ``spans_inlined``, bitwise unchanged."""
-        x = tf.placeholder("x", dtype=np.float64)
-        branches = [scale(tf.tanh(x), 1.0 + i) for i in range(4)]
-        feeds = {x: np.linspace(-1.0, 1.0, 6).reshape(2, 3)}
-        ref = compile_plan(branches, [x], backend="numpy").run(feeds)
-
-        plan = compile_plan(
-            branches, [x], span_workers=2, span_min_bytes=1 << 30,
-            backend="numpy",
-        )
-        plan.run(feeds)  # warm
-        inlined0 = plan.stats.spans_inlined
-        out = plan.run(feeds)  # steady: every span under the threshold
-        multi = sum(1 for w in plan.span_widths() if w > 1)
-        assert multi >= 1
-        assert plan.stats.spans_inlined == inlined0 + multi
-        assert plan.stats.span_batches == 0  # nothing ever hit the pool
-        for a, b in zip(ref, out):
-            assert np.array_equal(a, b)
-
-        # Threshold zero (the default) disables the cost model entirely.
-        free = compile_plan(
-            branches, [x], span_workers=2, backend="numpy")
-        free.run(feeds)
-        free.run(feeds)
-        assert free.stats.spans_inlined == 0
-        assert free.stats.span_batches > 0
-
-    def test_release_arenas_shuts_span_pool(self):
-        plan, x = fan_plan(k=4, span_workers=2)
-        plan.run({x: np.ones((2, 2))})
-        plan.run({x: np.ones((2, 2))})
-        assert plan._pool is not None
-        plan.release_arenas()
-        assert plan._pool is None
-        # Re-warms and rebuilds the pool transparently.
-        out = plan.run({x: np.ones((2, 2))})
-        out = plan.run({x: np.ones((2, 2))})
-        assert plan._pool is not None
-        assert np.array_equal(out[0], np.tanh(np.ones((2, 2))))
-
+        producer_pos = {r.out_slot: i for i, r in enumerate(plan._records)}
+        for i, rec in enumerate(plan._records):
+            for s in rec.input_slots:
+                if s in producer_pos:
+                    assert producer_pos[s] < i, (i, rec.op)
 
 class TestBitwiseOracle:
-    @pytest.mark.parametrize(
-        "schedule,workers", list(itertools.product(SCHEDULES, (1, 2)))
-    )
-    def test_engine_all_configs_vs_session_oracle(
-        self, water, water_oracle, schedule, workers
-    ):
+    def test_engine_vs_session_oracle(self, water, water_oracle):
         model, system, pairs = water
-        engine = BatchedEvaluator(
-            model, plan_schedule=schedule, plan_span_workers=workers
-        )
+        engine = BatchedEvaluator(model)
         for _ in range(2):  # warm + steady paths both checked
             out = engine.evaluate_batch([system], [pairs])[0]
             assert np.array_equal(
@@ -234,114 +73,30 @@ class TestBitwiseOracle:
             assert np.array_equal(water_oracle.forces, out.forces)
             assert np.array_equal(
                 np.asarray(water_oracle.virial), np.asarray(out.virial))
-        if workers > 1:
-            assert engine.plan.stats.span_batches > 0
-        else:
-            assert engine.plan.stats.span_batches == 0
 
-    @pytest.mark.parametrize("schedule,workers",
-                             [("liveness", 2), ("grouped", 2), ("none", 2)])
-    def test_trainer_bitwise_vs_session_oracle(self, schedule, workers):
+    def test_trainer_bitwise_vs_session_oracle(self):
         from repro.dp.data import label_frames
         from repro.dp.train import TrainConfig, Trainer
         from repro.oracles import FlexibleWater
 
-        def run(use_plan, **knobs):
+        def run(use_plan):
             model = DeepPot(water_config("double"))
             base = water_box((3, 3, 3), seed=0)
             dataset = label_frames([base], FlexibleWater(cutoff=4.0))
             dataset.apply_stats(model)
             trainer = Trainer(
                 model, dataset, TrainConfig(n_steps=2, log_every=10),
-                use_plan=use_plan, **knobs,
+                use_plan=use_plan,
             )
             trainer.train()
             return trainer
 
         ref = run(False)
-        got = run(True, plan_schedule=schedule, plan_span_workers=workers)
+        got = run(True)
         assert [r.loss for r in ref.history] == [r.loss for r in got.history]
         for va, vb in zip(ref.model.trainable_variables(),
                           got.model.trainable_variables()):
             assert np.array_equal(va.value, vb.value)
-
-
-class TestFusedBackendMatrix:
-    """The fused backend across the schedule × span_workers matrix and the
-    zoo: bitwise identical to the ``Session.run`` oracle, fusion counters
-    firing unconditionally, P110 clean on every plan."""
-
-    @pytest.mark.parametrize(
-        "schedule,workers", list(itertools.product(SCHEDULES, (1, 2)))
-    )
-    def test_engine_fused_all_configs_vs_session_oracle(
-        self, water, water_oracle, schedule, workers
-    ):
-        model, system, pairs = water
-        engine = BatchedEvaluator(
-            model, plan_schedule=schedule, plan_span_workers=workers,
-            plan_backend="fused",
-        )
-        for _ in range(2):  # warm + steady (blocked-interpreter) paths
-            out = engine.evaluate_batch([system], [pairs])[0]
-            assert np.array_equal(
-                np.asarray(water_oracle.energy), np.asarray(out.energy))
-            assert np.array_equal(water_oracle.forces, out.forces)
-            assert np.array_equal(
-                np.asarray(water_oracle.virial), np.asarray(out.virial))
-        plan = engine.plan
-        assert plan.backend == "fused"
-        assert plan.records_fused() > 0
-        assert plan.fused_tiles_run() > 0
-        report = plan.verify(check_values=True)
-        assert report.ok, report.summary()
-
-    def test_trainer_fused_bitwise_vs_session_oracle(self):
-        from repro.dp.data import label_frames
-        from repro.dp.train import TrainConfig, Trainer
-        from repro.oracles import FlexibleWater
-
-        def run(use_plan, **knobs):
-            model = DeepPot(water_config("double"))
-            base = water_box((3, 3, 3), seed=0)
-            dataset = label_frames([base], FlexibleWater(cutoff=4.0))
-            dataset.apply_stats(model)
-            trainer = Trainer(
-                model, dataset, TrainConfig(n_steps=2, log_every=10),
-                use_plan=use_plan, **knobs,
-            )
-            trainer.train()
-            return trainer
-
-        ref = run(False)
-        got = run(True, plan_backend="fused")
-        assert [r.loss for r in ref.history] == [r.loss for r in got.history]
-        for va, vb in zip(ref.model.trainable_variables(),
-                          got.model.trainable_variables()):
-            assert np.array_equal(va.value, vb.value)
-        assert got.plan.records_fused() > 0
-
-    def test_zoo_fused_clean_with_counters(self):
-        """Every zoo plan fuses at least one elementwise chain, verifies
-        clean under P101–P110, and its colored arena shrinks at least to
-        (and in practice below) the unfused colored footprint."""
-        results = check_all_plans(report=True, plan_backend="fused")
-        assert len(results) == 10
-        for entry in results:
-            assert entry["report"].ok, (
-                entry["plan"] + "\n" + entry["report"].summary())
-            m = entry["metrics"]
-            assert m["backend"] == "fused", entry["plan"]
-            assert m["records_fused"] > 0, entry["plan"]
-            assert m["fused_chains"] > 0, entry["plan"]
-            assert m["fused_passes_saved"] == (
-                m["records_fused"] - m["fused_chains"])
-            # fused intermediates own no colored-arena bytes: the fused
-            # footprint never exceeds the simulated unfused footprint.
-            assert m["arena_nbytes_colored"] <= m["arena_nbytes_prefusion"], (
-                entry["plan"], m)
-            assert m["arena_fusion_saved"] == (
-                m["arena_nbytes_prefusion"] - m["arena_nbytes_colored"])
 
 
 class TestColoringAllocator:
@@ -359,6 +114,23 @@ class TestColoringAllocator:
                 entry["plan"], m)
             assert m["arena_bytes_saved"] == (
                 m["arena_nbytes_fifo"] - m["arena_nbytes_colored"])
+
+    def test_copper_864_arena_within_110_mb(self):
+        """Memory pin for the serial copper MD workload: zoo copper on the
+        864-atom fcc cell, one replica.  Sequential liveness ranges color
+        this evaluate plan into 109.0 MB; widening any record's range
+        (e.g. for concurrent execution) pushes it past the bound.  Arena
+        bytes are a deterministic count of the colored slabs, not a
+        timing."""
+        model = DeepPot(copper_config("double"))
+        system = fcc_lattice((6, 6, 6))
+        assert system.n_atoms == 864
+        pairs = neighbor_pairs(system, model.config.rcut)
+        engine = BatchedEvaluator(model)
+        engine.evaluate_batch([system], [pairs])
+        assert engine.plan.stats.arena_builds == 1
+        assert engine.plan.arena_nbytes() <= 110e6
+        engine.plan.release_arenas()
 
     def test_best_fit_is_third_candidate_and_min_wins(self, water):
         """Size-aware coloring: every warmed arena records byte totals for
@@ -380,46 +152,26 @@ class TestColoringAllocator:
             min(a.color_candidates.values())
             for a in engine.plan.arenas.values())
 
-    def test_footprint_independent_of_span_workers(self, water):
-        model, system, pairs = water
-        sizes = []
-        for workers in (1, 2):
-            engine = BatchedEvaluator(model, plan_span_workers=workers)
-            engine.evaluate_batch([system], [pairs])
-            sizes.append(engine.plan.arena_nbytes())
-        assert sizes[0] == sizes[1]
-
     def test_metrics_shape(self, water):
         model, system, pairs = water
         engine = BatchedEvaluator(model)
         engine.evaluate_batch([system], [pairs])
         m = plan_metrics(engine.plan)
         assert m["records"] == engine.plan.n_records
-        assert m["schedule"] == "liveness"
-        assert sum(int(k) * v for k, v in
-                   m["span_width_histogram"].items()) == m["records"]
         assert m["arenas"] == 1
+        assert m["arena_nbytes_colored"] == engine.plan.arena_nbytes()
 
 
-class TestServingKnobs:
-    def test_executor_stats_report_span_and_coloring_counters(self, water):
+class TestServingStats:
+    def test_executor_stats_report_coloring_counters(self, water):
         from repro.serving import InferenceServer
 
         model, system, pairs = water
-        server = InferenceServer(
-            {"water": model}, autostart=False,
-            plan_schedule="grouped", plan_span_workers=2,
-        )
+        server = InferenceServer({"water": model}, autostart=False)
         try:
             engine = server._engines["water"]
-            assert engine.plan_schedule == "grouped"
-            assert engine.plan_span_workers == 2
             engine.evaluate_batch([system], [pairs])
             stats = server.executor_stats()["water"]
-            for key in ("spans", "max_span_width", "span_batches",
-                        "arena_nbytes", "arena_nbytes_fifo"):
-                assert key in stats
-            assert stats["spans"] > 0
             assert stats["arena_nbytes"] < stats["arena_nbytes_fifo"]
         finally:
             server.stop()

@@ -95,14 +95,12 @@ class TestSyntheticGraphs:
 
     def test_liveness_recycles_dead_slots(self):
         # A long chain of same-shape elementwise ops: with recycling the
-        # arena needs far fewer buffers than the tape has records.  Pinned
-        # to the per-record numpy backend: the fused backend would collapse
-        # the whole chain into one record, which is its own test.
+        # arena needs far fewer buffers than the tape has records.
         x = tf.placeholder("x")
         node = x
         for _ in range(20):
             node = tf.tanh(tf.add(node, node))
-        plan = tf.compile_plan(node, [x], backend="numpy")
+        plan = tf.compile_plan(node, [x])
         out = plan.run({x: np.ones(5)})
         ref = tf.Session().run(node, {x: np.ones(5)})
         assert np.array_equal(out, ref)
@@ -195,25 +193,6 @@ class TestSyntheticGraphs:
         assert np.array_equal(out1, ref)
         assert out1 is out2  # OUT mode: stable arena buffer
 
-    def test_mark_alias_op_affects_later_plans(self):
-        from repro.tfmini.plan import ALIAS_OPS, mark_alias_op
-
-        register_op("plan_test_first_half", lambda inputs, attrs: inputs[0][: len(inputs[0]) // 2])
-        assert "plan_test_first_half" not in ALIAS_OPS
-        mark_alias_op("plan_test_first_half")
-        try:
-            x = tf.placeholder("x")
-            node = tf.tanh(graph.Node("plan_test_first_half", (x,)))
-            plan = tf.compile_plan(node, [x])
-            feeds = {x: np.linspace(0, 1, 8)}
-            ref = tf.Session().run(node, feeds)
-            plan.run(feeds)
-            assert np.array_equal(plan.run(feeds), ref)
-            # alias records own no arena buffer: only tanh allocated
-            assert plan.alloc_count() == 1
-        finally:
-            ALIAS_OPS.discard("plan_test_first_half")
-
     def test_missing_placeholder_raises_at_compile(self):
         x = tf.placeholder("x")
         y = tf.placeholder("y")
@@ -272,9 +251,7 @@ class TestProfilingParity:
         s_ref = tf.Session(profile=True)
         s_ref.run(fetches, feeds)
 
-        # Per-record parity needs the per-record backend: fusion rewrites
-        # the tape's op inventory (member ops become one fused record).
-        plan = tf.compile_plan(fetches, [x], backend="numpy")
+        plan = tf.compile_plan(fetches, [x])
         s_warm = tf.Session(profile=True)
         plan.run(feeds, session=s_warm)  # warm (plain kernels)
         s_steady = tf.Session(profile=True)
@@ -381,9 +358,7 @@ class TestDeepPotPlans:
         model = zoo_models[("water", "double")]
         system = zoo_systems["water"]
         pi, pj = neighbor_pairs(system, model.config.rcut)
-        # numpy backend pinned: per-op profiling parity is a per-record
-        # property (fusion rewrites the op inventory).
-        planned = BatchedEvaluator(model, plan_backend="numpy")
+        planned = BatchedEvaluator(model)
         oracle = BatchedEvaluator(model, use_plan=False)
         planned.evaluate_batch([system], [(pi, pj)])  # warm outside profiling
         session = model.session
